@@ -5,7 +5,9 @@
 // the workforce-matrix fill, comparisons/sec for dominance, params/sec for
 // estimation) plus the simd_speedup ratio; CI asserts the ratio never drops
 // below 1 on AVX2 runners. The substrate section ports the original R-tree /
-// skyband / knapsack / OLS / k-smallest micro-benchmarks. Results land in
+// skyband / knapsack / OLS / k-smallest micro-benchmarks, plus the wire
+// codec over a default-config 20k-strategy BatchReport (the catalog-sized
+// report the HTTP tier serializes per batch). Results land in
 // micro_substrates.json (override with argv[1]).
 //
 // Hand-rolled timing (calibrated repetition loops over steady_clock, no
@@ -17,6 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/api/catalog.h"
+#include "src/api/codec.h"
+#include "src/api/service.h"
 #include "src/common/ascii_table.h"
 #include "src/core/catalog_index.h"
 #include "src/core/kernels/kernels.h"
@@ -30,7 +35,10 @@
 
 namespace {
 
+namespace api = stratrec::api;
 namespace core = stratrec::core;
+namespace json = stratrec::json;
+namespace wire = stratrec::wire;
 namespace geo = stratrec::geo;
 namespace kernels = stratrec::core::kernels;
 namespace workload = stratrec::workload;
@@ -228,6 +236,38 @@ std::vector<SubstrateRow> RunSubstrateBenches() {
           geo::KSmallestTracker tracker(10);
           for (double v : values) tracker.Push(v);
           Escape(tracker.KthSmallest());
+        }));
+  }
+
+  {
+    // One 8-request batch at W = 0.5 under the default ServiceConfig, so
+    // the report carries the full 20k-entry strategy_params block.
+    workload::Generator generator({}, 8);
+    api::ServiceConfig config;
+    config.execution.worker_threads = 1;
+    auto service = api::Service::Create(
+        api::CatalogFromProfiles(generator.Profiles(20000)), config);
+    if (!service.ok()) {
+      std::fprintf(stderr, "codec bench: %s\n",
+                   service.status().ToString().c_str());
+      std::exit(1);
+    }
+    api::BatchRequest batch;
+    batch.requests = generator.RequestsWithRanges(8, 6, {0.50, 0.80},
+                                                  {0.60, 1.0}, {0.60, 1.0});
+    batch.availability = api::AvailabilitySpec::Fixed(0.5);
+    auto report = service->SubmitBatch(batch);
+    if (!report.ok()) {
+      std::fprintf(stderr, "codec bench: %s\n",
+                   report.status().ToString().c_str());
+      std::exit(1);
+    }
+    const std::string encoded = json::Dump(wire::Encode(*report));
+    add("codec_encode_report_20k", TimeIt([&] {
+          Escape(json::Dump(wire::Encode(*report)));
+        }));
+    add("codec_decode_report_20k", TimeIt([&] {
+          Escape(wire::DecodeBatchReport(*json::Parse(encoded)));
         }));
   }
 

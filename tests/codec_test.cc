@@ -708,6 +708,435 @@ TEST(Codec, DecodeRejectsMalformedEnvelopes) {
             StatusCode::kInvalidArgument);
 }
 
+// ---------------------------------------------------------------------------
+// Golden encodings: one deterministic value of every envelope and journal
+// record kind, pinned byte for byte. The round-trip properties above would
+// still pass a change that renamed or reordered a field on both sides; these
+// would not. A diff here breaks every recorded trace and every HTTP client.
+// ---------------------------------------------------------------------------
+
+core::AdparResult GoldenAdparResult() {
+  core::AdparResult result;
+  result.alternative = {0.75, 0.5, 0.25};
+  result.strategies = {3, 1};
+  result.squared_distance = 0.125;
+  result.distance = 1.0 / 3.0;
+  return result;
+}
+
+api::BatchRequest GoldenBatchRequest() {
+  api::BatchRequest request;
+  request.requests = {{"d1", {0.5, 0.25, 0.75}, 2}, {"d2", {0.9, 0.1, 0.3}, 1}};
+  request.availability = api::AvailabilitySpec::Fixed(0.6);
+  request.algorithm = "batchstrat";
+  request.objective = core::Objective::kPayoff;
+  request.aggregation = core::AggregationMode::kMax;
+  request.policy = core::WorkforcePolicy::kPaperMaxOfThree;
+  request.recommend_alternatives = false;
+  request.adpar_solver = "exact";
+  request.deadline_ms = 250.5;
+  request.request_id = "req-1";
+  return request;
+}
+
+api::BatchReport GoldenBatchReport() {
+  api::BatchReport report;
+  report.request_id = "batch-000001";
+  report.algorithm = "batchstrat";
+  report.availability = 0.5;
+  report.result.aggregator.availability = 0.5;
+  report.result.aggregator.strategy_params = {{0.8, 0.2, 0.4},
+                                              {0.6, 0.1, 0.9}};
+  core::BatchResult& batch = report.result.aggregator.batch;
+  core::RequestOutcome served;
+  served.request_index = 0;
+  served.satisfied = true;
+  served.eligible = true;
+  served.workforce = 0.25;
+  served.objective_value = 1.0;
+  served.strategies = {0, 1};
+  core::RequestOutcome unserved;
+  unserved.request_index = 1;
+  batch.outcomes = {served, unserved};
+  batch.total_objective = 1.0;
+  batch.workforce_used = 0.25;
+  batch.satisfied = {0};
+  batch.unsatisfied = {1, 2};
+  report.result.alternatives = {{1, GoldenAdparResult()}};
+  report.result.adpar_failures = {2};
+  return report;
+}
+
+api::SweepRequest GoldenSweepRequest() {
+  api::SweepRequest request;
+  request.targets = {{"t1", {0.7, 0.3, 0.5}, 2}};
+  request.solvers = {"exact", "baseline"};
+  request.availability = api::AvailabilitySpec::FromSamples({0.25, 0.75});
+  request.deadline_ms = 80.0;
+  request.request_id = "sweep-9";
+  return request;
+}
+
+api::SweepReport GoldenSweepReport() {
+  api::SweepReport report;
+  report.request_id = "sweep-000002";
+  report.availability = 0.5;
+  report.strategy_params = {{0.8, 0.2, 0.4}};
+  api::SweepOutcome solved;
+  solved.target_id = "t1";
+  solved.solver = "exact";
+  solved.result = GoldenAdparResult();
+  api::SweepOutcome failed;
+  failed.target_id = "t1";
+  failed.solver = "baseline";
+  failed.status = Status::Infeasible("k > |S|");
+  report.outcomes = {solved, failed};
+  return report;
+}
+
+api::StreamOptions GoldenStreamOptions() {
+  api::StreamOptions options;
+  options.availability = api::AvailabilitySpec::Named("window-a");
+  options.max_pending = 8;
+  options.readmit_on_release = false;
+  options.objective = core::Objective::kThroughput;
+  options.aggregation = core::AggregationMode::kSum;
+  options.policy = core::WorkforcePolicy::kMinimalWorkforce;
+  options.recommend_alternatives = true;
+  options.deadline_ms = 12.25;
+  options.session_id = "stream-000007";
+  return options;
+}
+
+api::StreamUpdate GoldenStreamUpdate(bool with_alternative) {
+  api::StreamUpdate update;
+  update.session_id = "stream-000007";
+  update.kind = api::StreamEvent::Kind::kArrival;
+  update.request_id = "d1";
+  update.decision.kind = with_alternative
+                             ? core::AdmissionDecision::Kind::kRejected
+                             : core::AdmissionDecision::Kind::kAdmitted;
+  if (!with_alternative) update.decision.strategies = {4, 2};
+  update.decision.workforce = with_alternative ? 0.0 : 0.125;
+  update.has_alternative = with_alternative;
+  if (with_alternative) update.alternative = GoldenAdparResult();
+  update.availability = 0.5;
+  update.used_workforce = 0.125;
+  update.active = 1;
+  update.pending = 0;
+  return update;
+}
+
+core::Catalog GoldenCatalog() {
+  const std::vector<core::StageSpec> specs = core::AllStageSpecs();
+  core::Catalog catalog;
+  catalog.strategies.emplace_back("s1",
+                                  std::vector<core::StageSpec>{specs[0]});
+  catalog.strategies.emplace_back(
+      "s2", std::vector<core::StageSpec>{specs[3], specs[6]});
+  core::StrategyProfile first;
+  first.quality = {0.5, 0.25};
+  first.cost = {-0.5, 1.0};
+  first.latency = {0.125, 0.0};
+  core::StrategyProfile second;
+  second.quality = {1.0, 0.0};
+  second.cost = {0.25, 0.5};
+  second.latency = {-1.0, 1.0};
+  catalog.profiles = {first, second};
+  return catalog;
+}
+
+api::ServiceConfig GoldenConfig() {
+  api::ServiceConfig config;
+  config.journal.path = "trace.journal";
+  config.journal.max_segment_bytes = 1 << 20;
+  config.cache.availability_quantum = 0.05;
+  return config;
+}
+
+api::ServiceStats GoldenStats() {
+  api::ServiceStats stats;
+  stats.batches = 1;
+  stats.sweeps = 2;
+  stats.requests_processed = 5;
+  stats.cache_hits = 11;
+  stats.hedges_won = 22;
+  stats.kernel_dispatch = "scalar";
+  return stats;
+}
+
+TEST(CodecGolden, BatchEnvelopes) {
+  EXPECT_EQ(json::Dump(Encode(GoldenBatchRequest())),
+            R"({"request_id":"req-1","requests":[{"id":"d1","thresholds":{")"
+            R"(quality":0.5,"cost":0.25,"latency":0.75},"k":2},{"id":"d2",")"
+            R"(thresholds":{"quality":0.9,"cost":0.1,"latency":0.3},"k":1}])"
+            R"(,"availability":{"kind":"fixed","value":0.6},"algorithm":"ba)"
+            R"(tchstrat","objective":"payoff","aggregation":"max","policy":)"
+            R"("paper-max-of-three","recommend_alternatives":false,"adpar_s)"
+            R"(olver":"exact","deadline_ms":250.5})");
+  api::BatchRequest unset;
+  unset.requests = {{"d1", {0.5, 0.25, 0.75}, 2}};
+  EXPECT_EQ(json::Dump(Encode(unset)),
+            R"({"requests":[{"id":"d1","thresholds":{"quality":0.5,"cost":0)"
+            R"(.25,"latency":0.75},"k":2}],"availability":{"kind":"default")"
+            R"(}})");
+  EXPECT_EQ(json::Dump(Encode(GoldenBatchReport())),
+            R"({"request_id":"batch-000001","algorithm":"batchstrat","avail)"
+            R"(ability":0.5,"result":{"aggregator":{"availability":0.5,"str)"
+            R"(ategy_params":[{"quality":0.8,"cost":0.2,"latency":0.4},{"qu)"
+            R"(ality":0.6,"cost":0.1,"latency":0.9}],"batch":{"outcomes":[{)"
+            R"("request_index":0,"satisfied":true,"eligible":true,"workforc)"
+            R"(e":0.25,"objective_value":1,"strategies":[0,1]},{"request_in)"
+            R"(dex":1,"satisfied":false,"eligible":false,"workforce":0,"obj)"
+            R"(ective_value":0,"strategies":[]}],"total_objective":1,"workf)"
+            R"(orce_used":0.25,"satisfied":[0],"unsatisfied":[1,2]}},"alter)"
+            R"(natives":[{"request_index":1,"result":{"alternative":{"quali)"
+            R"(ty":0.75,"cost":0.5,"latency":0.25},"strategies":[3,1],"squa)"
+            R"(red_distance":0.125,"distance":0.3333333333333333}}],"adpar_)"
+            R"(failures":[2]}})");
+}
+
+TEST(CodecGolden, SweepEnvelopes) {
+  EXPECT_EQ(json::Dump(Encode(GoldenSweepRequest())),
+            R"({"request_id":"sweep-9","targets":[{"id":"t1","thresholds":{)"
+            R"("quality":0.7,"cost":0.3,"latency":0.5},"k":2}],"solvers":[")"
+            R"(exact","baseline"],"availability":{"kind":"samples","samples)"
+            R"(":[0.25,0.75]},"deadline_ms":80})");
+  EXPECT_EQ(json::Dump(Encode(GoldenSweepReport())),
+            R"({"request_id":"sweep-000002","availability":0.5,"strategy_pa)"
+            R"(rams":[{"quality":0.8,"cost":0.2,"latency":0.4}],"outcomes":)"
+            R"([{"target_id":"t1","solver":"exact","status":{"code":"OK"},")"
+            R"(result":{"alternative":{"quality":0.75,"cost":0.5,"latency":)"
+            R"(0.25},"strategies":[3,1],"squared_distance":0.125,"distance")"
+            R"(:0.3333333333333333}},{"target_id":"t1","solver":"baseline",)"
+            R"("status":{"code":"Infeasible","message":"k > |S|"}}]})");
+}
+
+TEST(CodecGolden, StreamEnvelopes) {
+  EXPECT_EQ(json::Dump(Encode(GoldenStreamOptions())),
+            R"({"availability":{"kind":"named","name":"window-a"},"max_pend)"
+            R"(ing":8,"readmit_on_release":false,"objective":"throughput",")"
+            R"(aggregation":"sum","policy":"minimal-workforce","recommend_a)"
+            R"(lternatives":true,"deadline_ms":12.25,"session_id":"stream-0)"
+            R"(00007"})");
+  EXPECT_EQ(json::Dump(Encode(api::StreamOptions{})),
+            R"({"availability":{"kind":"default"}})");
+  EXPECT_EQ(json::Dump(Encode(api::StreamEvent::Arrival(
+                {"d1", {0.5, 0.25, 0.75}, 2}))),
+            R"({"kind":"arrival","request":{"id":"d1","thresholds":{"qualit)"
+            R"(y":0.5,"cost":0.25,"latency":0.75},"k":2}})");
+  EXPECT_EQ(json::Dump(Encode(api::StreamEvent::Revocation("d1"))),
+            R"({"kind":"revocation","request_id":"d1"})");
+  EXPECT_EQ(json::Dump(Encode(api::StreamEvent::Completion("d2"))),
+            R"({"kind":"completion","request_id":"d2"})");
+  EXPECT_EQ(json::Dump(Encode(api::StreamEvent::AvailabilityChange(
+                api::AvailabilitySpec::Fixed(0.75)))),
+            R"({"kind":"availability-change","availability":{"kind":"fixed")"
+            R"(,"value":0.75}})");
+  EXPECT_EQ(json::Dump(Encode(GoldenStreamUpdate(false))),
+            R"({"session_id":"stream-000007","kind":"arrival","request_id":)"
+            R"("d1","decision":{"kind":"admitted","strategies":[4,2],"workf)"
+            R"(orce":0.125},"availability":0.5,"used_workforce":0.125,"acti)"
+            R"(ve":1,"pending":0})");
+  EXPECT_EQ(json::Dump(Encode(GoldenStreamUpdate(true))),
+            R"({"session_id":"stream-000007","kind":"arrival","request_id":)"
+            R"("d1","decision":{"kind":"rejected","strategies":[],"workforc)"
+            R"(e":0},"alternative":{"alternative":{"quality":0.75,"cost":0.)"
+            R"(5,"latency":0.25},"strategies":[3,1],"squared_distance":0.12)"
+            R"(5,"distance":0.3333333333333333},"availability":0.5,"used_wo)"
+            R"(rkforce":0.125,"active":1,"pending":0})");
+}
+
+TEST(CodecGolden, ConfigCatalogAndSpecs) {
+  EXPECT_EQ(json::Dump(Encode(GoldenConfig())),
+            R"({"batch":{"algorithm":"batchstrat","objective":"throughput",)"
+            R"("aggregation":"sum","policy":"minimal-workforce","recommend_)"
+            R"(alternatives":true,"adpar_solver":"exact"},"stream":{"max_pe)"
+            R"(nding":64,"readmit_on_release":true,"recommend_alternatives")"
+            R"(:false},"execution":{"worker_threads":0,"parallel_grain":409)"
+            R"(6},"cache":{"snapshot_capacity":16,"shards":4,"availability_)"
+            R"(quantum":0.05},"journal":{"path":"trace.journal","record_can)"
+            R"(celled":true,"flush_every_record":true,"max_segment_bytes":1)"
+            R"(048576,"compact_after_segments":0,"retain_segments":1},"avai)"
+            R"(lability":{"kind":"fixed","value":0.5}})");
+  EXPECT_EQ(json::Dump(Encode(GoldenCatalog())),
+            R"({"strategies":[{"id":"s1","stages":["SEQ-IND-CRO"]},{"id":"s)"
+            R"(2","stages":["SEQ-COL-HYB","SIM-COL-CRO"]}],"profiles":[{"qu)"
+            R"(ality":{"alpha":0.5,"beta":0.25},"cost":{"alpha":-0.5,"beta")"
+            R"(:1},"latency":{"alpha":0.125,"beta":0}},{"quality":{"alpha":)"
+            R"(1,"beta":0},"cost":{"alpha":0.25,"beta":0.5},"latency":{"alp)"
+            R"(ha":-1,"beta":1}}]})");
+  EXPECT_EQ(json::Dump(Encode(api::AvailabilitySpec::Default())),
+            R"({"kind":"default"})");
+  EXPECT_EQ(json::Dump(Encode(api::AvailabilitySpec::Fixed(0.5))),
+            R"({"kind":"fixed","value":0.5})");
+  EXPECT_EQ(json::Dump(Encode(api::AvailabilitySpec::FromPmf(
+                {{0.25, 0.5}, {0.75, 0.5}}))),
+            R"({"kind":"pmf","atoms":[{"value":0.25,"probability":0.5},{"va)"
+            R"(lue":0.75,"probability":0.5}]})");
+  EXPECT_EQ(json::Dump(Encode(api::AvailabilitySpec::FromSamples(
+                {0.2, 0.4, 0.9}))),
+            R"({"kind":"samples","samples":[0.2,0.4,0.9]})");
+  EXPECT_EQ(json::Dump(Encode(api::AvailabilitySpec::Named("window-a"))),
+            R"({"kind":"named","name":"window-a"})");
+}
+
+TEST(CodecGolden, JournalRecords) {
+  EXPECT_EQ(EncodeConfigRecord(api::ServiceConfig{}),
+            R"({"kind":"config","config":{"batch":{"algorithm":"batchstrat")"
+            R"(,"objective":"throughput","aggregation":"sum","policy":"mini)"
+            R"(mal-workforce","recommend_alternatives":true,"adpar_solver":)"
+            R"("exact"},"stream":{"max_pending":64,"readmit_on_release":tru)"
+            R"(e,"recommend_alternatives":false},"execution":{"worker_threa)"
+            R"(ds":0,"parallel_grain":4096},"cache":{"snapshot_capacity":16)"
+            R"(,"shards":4,"availability_quantum":0},"journal":{"path":"",")"
+            R"(record_cancelled":true,"flush_every_record":true,"max_segmen)"
+            R"(t_bytes":0,"compact_after_segments":0,"retain_segments":1},")"
+            R"(availability":{"kind":"fixed","value":0.5}}})");
+  EXPECT_EQ(EncodeCatalogRecord(GoldenCatalog()),
+            R"({"kind":"catalog","catalog":{"strategies":[{"id":"s1","stage)"
+            R"(s":["SEQ-IND-CRO"]},{"id":"s2","stages":["SEQ-COL-HYB","SIM-)"
+            R"(COL-CRO"]}],"profiles":[{"quality":{"alpha":0.5,"beta":0.25})"
+            R"(,"cost":{"alpha":-0.5,"beta":1},"latency":{"alpha":0.125,"be)"
+            R"(ta":0}},{"quality":{"alpha":1,"beta":0},"cost":{"alpha":0.25)"
+            R"(,"beta":0.5},"latency":{"alpha":-1,"beta":1}}]}})");
+  EXPECT_EQ(EncodeBatchRecord("batch-000001", GoldenBatchRequest(),
+                              GoldenBatchReport()),
+            R"({"kind":"batch","request_id":"batch-000001","request":{"requ)"
+            R"(est_id":"req-1","requests":[{"id":"d1","thresholds":{"qualit)"
+            R"(y":0.5,"cost":0.25,"latency":0.75},"k":2},{"id":"d2","thresh)"
+            R"(olds":{"quality":0.9,"cost":0.1,"latency":0.3},"k":1}],"avai)"
+            R"(lability":{"kind":"fixed","value":0.6},"algorithm":"batchstr)"
+            R"(at","objective":"payoff","aggregation":"max","policy":"paper)"
+            R"(-max-of-three","recommend_alternatives":false,"adpar_solver")"
+            R"(:"exact","deadline_ms":250.5},"status":{"code":"OK"},"report)"
+            R"(":{"request_id":"batch-000001","algorithm":"batchstrat","ava)"
+            R"(ilability":0.5,"result":{"aggregator":{"availability":0.5,"s)"
+            R"(trategy_params":[{"quality":0.8,"cost":0.2,"latency":0.4},{")"
+            R"(quality":0.6,"cost":0.1,"latency":0.9}],"batch":{"outcomes":)"
+            R"([{"request_index":0,"satisfied":true,"eligible":true,"workfo)"
+            R"(rce":0.25,"objective_value":1,"strategies":[0,1]},{"request_)"
+            R"(index":1,"satisfied":false,"eligible":false,"workforce":0,"o)"
+            R"(bjective_value":0,"strategies":[]}],"total_objective":1,"wor)"
+            R"(kforce_used":0.25,"satisfied":[0],"unsatisfied":[1,2]}},"alt)"
+            R"(ernatives":[{"request_index":1,"result":{"alternative":{"qua)"
+            R"(lity":0.75,"cost":0.5,"latency":0.25},"strategies":[3,1],"sq)"
+            R"(uared_distance":0.125,"distance":0.3333333333333333}}],"adpa)"
+            R"(r_failures":[2]}}})");
+  EXPECT_EQ(EncodeBatchRecord("batch-000002", GoldenBatchRequest(),
+                              Status::NotFound("unknown algorithm 'x'")),
+            R"({"kind":"batch","request_id":"batch-000002","request":{"requ)"
+            R"(est_id":"req-1","requests":[{"id":"d1","thresholds":{"qualit)"
+            R"(y":0.5,"cost":0.25,"latency":0.75},"k":2},{"id":"d2","thresh)"
+            R"(olds":{"quality":0.9,"cost":0.1,"latency":0.3},"k":1}],"avai)"
+            R"(lability":{"kind":"fixed","value":0.6},"algorithm":"batchstr)"
+            R"(at","objective":"payoff","aggregation":"max","policy":"paper)"
+            R"(-max-of-three","recommend_alternatives":false,"adpar_solver")"
+            R"(:"exact","deadline_ms":250.5},"status":{"code":"NotFound","m)"
+            R"(essage":"unknown algorithm 'x'"}})");
+  EXPECT_EQ(EncodeSweepRecord("sweep-000002", GoldenSweepRequest(),
+                              GoldenSweepReport()),
+            R"({"kind":"sweep","request_id":"sweep-000002","request":{"requ)"
+            R"(est_id":"sweep-9","targets":[{"id":"t1","thresholds":{"quali)"
+            R"(ty":0.7,"cost":0.3,"latency":0.5},"k":2}],"solvers":["exact")"
+            R"(,"baseline"],"availability":{"kind":"samples","samples":[0.2)"
+            R"(5,0.75]},"deadline_ms":80},"status":{"code":"OK"},"report":{)"
+            R"("request_id":"sweep-000002","availability":0.5,"strategy_par)"
+            R"(ams":[{"quality":0.8,"cost":0.2,"latency":0.4}],"outcomes":[)"
+            R"({"target_id":"t1","solver":"exact","status":{"code":"OK"},"r)"
+            R"(esult":{"alternative":{"quality":0.75,"cost":0.5,"latency":0)"
+            R"(.25},"strategies":[3,1],"squared_distance":0.125,"distance":)"
+            R"(0.3333333333333333}},{"target_id":"t1","solver":"baseline",")"
+            R"(status":{"code":"Infeasible","message":"k > |S|"}}]}})");
+  EXPECT_EQ(EncodeSweepRecord("sweep-000003", GoldenSweepRequest(),
+                              Status::DeadlineExceeded(
+                                  "ticket sweep-000003 deadline expired "
+                                  "before execution")),
+            R"({"kind":"sweep","request_id":"sweep-000003","request":{"requ)"
+            R"(est_id":"sweep-9","targets":[{"id":"t1","thresholds":{"quali)"
+            R"(ty":0.7,"cost":0.3,"latency":0.5},"k":2}],"solvers":["exact")"
+            R"(,"baseline"],"availability":{"kind":"samples","samples":[0.2)"
+            R"(5,0.75]},"deadline_ms":80},"status":{"code":"DeadlineExceede)"
+            R"(d","message":"ticket sweep-000003 deadline expired before ex)"
+            R"(ecution"}})");
+  EXPECT_EQ(EncodeStatsRecord(GoldenStats()),
+            R"({"kind":"stats","stats":{"batches":1,"sweeps":2,"streams_ope)"
+            R"(ned":0,"stream_events":0,"stream_reschedules":0,"snapshot_de)"
+            R"(lta_updates":0,"snapshot_rebuilds":0,"requests_processed":5,)"
+            R"("cancelled":0,"queue_depth":0,"active_workers":0,"steals":0,)"
+            R"("local_hits":0,"cache_hits":11,"cache_misses":0,"index_build)"
+            R"(_nanos":0,"rejected_requests":0,"retry_after_hints":0,"deadl)"
+            R"(ine_exceeded":0,"retries":0,"failovers":0,"hedges_won":22,"k)"
+            R"(ernel_dispatch":"scalar"}})");
+  EXPECT_EQ(EncodeStatsRecord(GoldenStats(), 42.5),
+            R"({"kind":"stats","sim_time":42.5,"stats":{"batches":1,"sweeps)"
+            R"(":2,"streams_opened":0,"stream_events":0,"stream_reschedules)"
+            R"(":0,"snapshot_delta_updates":0,"snapshot_rebuilds":0,"reques)"
+            R"(ts_processed":5,"cancelled":0,"queue_depth":0,"active_worker)"
+            R"(s":0,"steals":0,"local_hits":0,"cache_hits":11,"cache_misses)"
+            R"(":0,"index_build_nanos":0,"rejected_requests":0,"retry_after)"
+            R"(_hints":0,"deadline_exceeded":0,"retries":0,"failovers":0,"h)"
+            R"(edges_won":22,"kernel_dispatch":"scalar"}})");
+
+  StreamOpenRecord open;
+  open.session_id = "stream-000007";
+  open.options = GoldenStreamOptions();
+  open.availability = 0.625;
+  EXPECT_EQ(EncodeStreamOpenRecord(open),
+            R"({"kind":"stream-open","session_id":"stream-000007","options")"
+            R"(:{"availability":{"kind":"named","name":"window-a"},"max_pen)"
+            R"(ding":8,"readmit_on_release":false,"objective":"throughput",)"
+            R"("aggregation":"sum","policy":"minimal-workforce","recommend_)"
+            R"(alternatives":true,"deadline_ms":12.25,"session_id":"stream-)"
+            R"(000007"},"availability":0.625})");
+
+  StreamEventRecord succeeded;
+  succeeded.session_id = "stream-000007";
+  succeeded.seq = 3;
+  succeeded.event = api::StreamEvent::Arrival({"d1", {0.5, 0.25, 0.75}, 2});
+  succeeded.update = GoldenStreamUpdate(false);
+  EXPECT_EQ(EncodeStreamEventRecord(succeeded),
+            R"({"kind":"stream-event","session_id":"stream-000007","seq":3,)"
+            R"("event":{"kind":"arrival","request":{"id":"d1","thresholds":)"
+            R"({"quality":0.5,"cost":0.25,"latency":0.75},"k":2}},"status":)"
+            R"({"code":"OK"},"update":{"session_id":"stream-000007","kind":)"
+            R"("arrival","request_id":"d1","decision":{"kind":"admitted","s)"
+            R"(trategies":[4,2],"workforce":0.125},"availability":0.5,"used)"
+            R"(_workforce":0.125,"active":1,"pending":0}})");
+
+  StreamEventRecord failed;
+  failed.session_id = "stream-000007";
+  failed.seq = 4;
+  failed.event = api::StreamEvent::Revocation("ghost");
+  failed.status = Status::NotFound("unknown request id: ghost");
+  EXPECT_EQ(EncodeStreamEventRecord(failed),
+            R"({"kind":"stream-event","session_id":"stream-000007","seq":4,)"
+            R"("event":{"kind":"revocation","request_id":"ghost"},"status":)"
+            R"({"code":"NotFound","message":"unknown request id: ghost"}})");
+}
+
+// The exact text of the decode errors /v1/batch returns in its 400 bodies.
+TEST(CodecGolden, DecodeErrorMessages) {
+  const auto error = [](const std::string& text) {
+    auto parsed = json::Parse(text);
+    EXPECT_TRUE(parsed.ok()) << text;
+    return DecodeBatchRequest(*parsed).status().ToString();
+  };
+  EXPECT_EQ(error(R"({"availability":{"kind":"default"}})"),
+            "InvalidArgument: missing field 'requests'");
+  EXPECT_EQ(error(R"({"requests":7,"availability":{"kind":"default"}})"),
+            "InvalidArgument: field 'requests' must be an array");
+  EXPECT_EQ(error(R"([])"),
+            "InvalidArgument: batch request must be a JSON object");
+  EXPECT_EQ(error(R"({"requests":[],"availability":{"kind":"default"},)"
+                  R"("objective":"profit"})"),
+            "InvalidArgument: unknown objective 'profit'");
+  EXPECT_EQ(error(R"({"requests":[{"id":"d","thresholds":{"quality":0,)"
+                  R"("cost":0,"latency":0},"k":3000000000}],)"
+                  R"("availability":{"kind":"default"}})"),
+            "InvalidArgument: field 'k' must be an integer");
+}
+
 TEST(Codec, JsonParserIsStrict) {
   EXPECT_FALSE(json::Parse("{\"a\":1,}").ok());
   EXPECT_FALSE(json::Parse("{\"a\" 1}").ok());
