@@ -144,8 +144,9 @@ struct ShardScanRequest {
   core::WorkforcePolicy policy = core::WorkforcePolicy::kMinimalWorkforce;
   /// Distinct cardinalities needing ADPaR candidate orderings.
   std::vector<int> skyband_ks;
-  /// Return the shard's full parameter block (the router caches the merged
-  /// block per W and skips re-fetching it on later scans).
+  /// Return the shard's full parameter block. The router asks for it on
+  /// every alternatives or sweep scan and merges the shard blocks afresh
+  /// each time; batch-only row scans turn it off.
   bool want_params = true;
   /// Caller-assigned report id; empty (the default) means service-assigned.
   std::string request_id;
@@ -271,72 +272,79 @@ struct StreamUpdate {
 // Service-level accounting.
 // ---------------------------------------------------------------------------
 
+/// The size_t members of ServiceStats, in wire order, as X(name, rule).
+/// This list is the one place a counter is spelled out apart from the code
+/// that moves it: the struct members below, the striped atomics of the
+/// Service and the shard router, the router's sum over its shards, and the
+/// wire codec's field list are all generated from it. Adding a counter is
+/// one line here plus its increment site. `rule` is the codec presence
+/// rule: kRequired, or kDefaulted for the fault-tolerance counters of
+/// journal format v7 (always written; a v6 record without them reads 0).
+///
+///   batches .. snapshot_rebuilds   per-mode work. stream_reschedules counts
+///       pending stream requests re-admitted by density-order drains after
+///       a revocation, completion, or availability raise freed capacity;
+///       snapshot_delta_updates / snapshot_rebuilds count stream events
+///       absorbed in O(1) vs availability changes that moved the quantized
+///       W and re-estimated the per-W block.
+///   requests_processed    deployment requests across batches and stream
+///       arrivals.
+///   cancelled             async tickets withdrawn via Cancel() before a
+///       worker claimed them.
+///   queue_depth, active_workers   instantaneous executor gauges sampled at
+///       stats() time: tasks waiting across the pool's queues, and workers
+///       running a task (Executor::QueueDepth / ActiveWorkers), surfaced so
+///       load shedding has service-level data.
+///   steals, local_hits    work-stealing counters (Executor::StealCount /
+///       LocalHitCount): a high steal share means the pool is rebalancing,
+///       a high local share that fan-out stayed on the spawning worker.
+///   cache_hits, cache_misses   availability-snapshot cache lookups that
+///       found per-W state vs built it; a low hit share on a repeated-W
+///       workload means the cache is undersized (see ServiceConfig::cache).
+///   index_build_nanos     wall-clock time spent building the catalog's SoA
+///       index at Service::Create (core::CatalogIndex; a one-time cost).
+///   rejected_requests, retry_after_hints   admission control: requests
+///       turned away because the queue gauge exceeded the configured
+///       ceiling, and how many of those carried a back-off hint (HTTP 429 +
+///       Retry-After). The router and HTTP tier maintain them; a bare
+///       Service reports 0.
+///   deadline_exceeded     work abandoned because its deadline_ms budget ran
+///       out (Service and ShardRouter both).
+///   failovers             router scans re-dispatched to another replica
+///       after a replica failed or timed out.
+///   hedges_won            hedged duplicate scans that beat the primary.
+#define STRATREC_SERVICE_STATS_COUNTERS(X) \
+  X(batches, kRequired)                    \
+  X(sweeps, kRequired)                     \
+  X(streams_opened, kRequired)             \
+  X(stream_events, kRequired)              \
+  X(stream_reschedules, kRequired)         \
+  X(snapshot_delta_updates, kRequired)     \
+  X(snapshot_rebuilds, kRequired)          \
+  X(requests_processed, kRequired)         \
+  X(cancelled, kRequired)                  \
+  X(queue_depth, kRequired)                \
+  X(active_workers, kRequired)             \
+  X(steals, kRequired)                     \
+  X(local_hits, kRequired)                 \
+  X(cache_hits, kRequired)                 \
+  X(cache_misses, kRequired)               \
+  X(index_build_nanos, kRequired)          \
+  X(rejected_requests, kRequired)          \
+  X(retry_after_hints, kRequired)          \
+  X(deadline_exceeded, kDefaulted)         \
+  X(failovers, kDefaulted)                 \
+  X(hedges_won, kDefaulted)
+
 /// Lifetime counters of one Service (snapshot; see Service::stats()).
 ///
 /// Counters are maintained on a striped atomic path (no shared lock), so
 /// concurrent requests never contend on stats accounting; stats() folds the
 /// stripes into this snapshot.
 struct ServiceStats {
-  size_t batches = 0;
-  size_t sweeps = 0;
-  size_t streams_opened = 0;
-  size_t stream_events = 0;
-  /// Pending stream requests re-admitted by density-order drains after a
-  /// revocation, completion, or availability raise freed capacity.
-  size_t stream_reschedules = 0;
-  /// Incremental-snapshot maintenance across all stream sessions: events
-  /// absorbed in O(1) without re-estimating the per-W derived block vs
-  /// availability changes that moved the quantized W and re-estimated it.
-  size_t snapshot_delta_updates = 0;
-  size_t snapshot_rebuilds = 0;
-  /// Deployment requests seen across batches and stream arrivals.
-  size_t requests_processed = 0;
-  /// Async tickets withdrawn via Cancel() before a worker claimed them.
-  size_t cancelled = 0;
-  /// Instantaneous executor gauges (not lifetime counters), sampled at
-  /// stats() time: tasks waiting across the pool's queues (injection +
-  /// per-worker deques, one consistent total) and workers currently running
-  /// a task. The raw accessors live on stratrec::Executor (QueueDepth /
-  /// ActiveWorkers); they are surfaced here so load shedding has
-  /// service-level data.
-  size_t queue_depth = 0;
-  size_t active_workers = 0;
-  /// Work-stealing counters (lifetime, from Executor::StealCount /
-  /// LocalHitCount): how pool tasks reached their thread. A high steal
-  /// share means the pool is rebalancing across workers; a high local share
-  /// means fan-out stayed cache-local on the worker that spawned it.
-  size_t steals = 0;
-  size_t local_hits = 0;
-  /// Availability-snapshot cache counters (lifetime): how often a job that
-  /// needed per-W derived state found it cached vs had to build it. A low
-  /// hit share on a repeated-availability workload means the cache is
-  /// undersized (or quantization too fine) — see ServiceConfig::cache.
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
-  /// Wall-clock nanoseconds spent building the catalog's SoA index at
-  /// Service::Create (core::CatalogIndex; a one-time cost every batch
-  /// amortizes).
-  size_t index_build_nanos = 0;
-  /// Admission control (lifetime): requests turned away because the queue
-  /// gauge exceeded the configured ceiling, and how many of those rejections
-  /// carried a back-off hint (HTTP 429 + Retry-After on the serving tier).
-  /// Zero on a Service that fronts no admission controller — the shard
-  /// router and HTTP tier maintain them, but they travel in ServiceStats so
-  /// one stats envelope (and one codec) covers both tiers.
-  size_t rejected_requests = 0;
-  size_t retry_after_hints = 0;
-  /// Fault-tolerance counters (lifetime; journal format v7). Like the
-  /// admission counters above, the upper tiers maintain most of them:
-  /// `deadline_exceeded` counts work abandoned because its deadline_ms
-  /// budget ran out (Service and ShardRouter both); `retries` counts
-  /// HttpClient re-sends after a transport failure or 429; `failovers`
-  /// counts router scans re-dispatched to another replica after a replica
-  /// failed or timed out; `hedges_won` counts hedged duplicate scans that
-  /// beat the primary.
-  size_t deadline_exceeded = 0;
-  size_t retries = 0;
-  size_t failovers = 0;
-  size_t hedges_won = 0;
+#define STRATREC_STATS_MEMBER(name, rule) size_t name = 0;
+  STRATREC_SERVICE_STATS_COUNTERS(STRATREC_STATS_MEMBER)
+#undef STRATREC_STATS_MEMBER
   /// Active SIMD dispatch level of the SoA kernels ("avx2" or "scalar";
   /// core::kernels::DispatchLevelName), sampled at stats() time. Surfaced on
   /// /v1/stats so a fleet can verify which code path each box runs — a

@@ -1,16 +1,11 @@
 #include "src/api/service.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <exception>
 #include <list>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -18,6 +13,7 @@
 
 #include "src/api/codec.h"
 #include "src/api/registry.h"
+#include "src/api/service_internal.h"
 #include "src/common/executor.h"
 #include "src/common/journal.h"
 #include "src/common/logging.h"
@@ -29,65 +25,6 @@
 namespace stratrec::api {
 
 namespace internal {
-
-/// One cache line of lifetime counters. Each thread sticks to one stripe,
-/// so concurrent requests never bounce a shared line; stats() folds all of
-/// them into a ServiceStats snapshot.
-struct alignas(64) StatsStripe {
-  std::atomic<uint64_t> batches{0};
-  std::atomic<uint64_t> sweeps{0};
-  std::atomic<uint64_t> streams_opened{0};
-  std::atomic<uint64_t> stream_events{0};
-  std::atomic<uint64_t> stream_reschedules{0};
-  std::atomic<uint64_t> snapshot_delta_updates{0};
-  std::atomic<uint64_t> snapshot_rebuilds{0};
-  std::atomic<uint64_t> requests_processed{0};
-  std::atomic<uint64_t> cancelled{0};
-  std::atomic<uint64_t> deadline_exceeded{0};
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_misses{0};
-};
-
-class StripedStats {
- public:
-  StatsStripe& Local() {
-    static std::atomic<size_t> next_slot{0};
-    thread_local const size_t slot =
-        next_slot.fetch_add(1, std::memory_order_relaxed) % kStripes;
-    return stripes_[slot];
-  }
-
-  ServiceStats Snapshot() const {
-    ServiceStats out;
-    for (const StatsStripe& stripe : stripes_) {
-      out.batches += stripe.batches.load(std::memory_order_relaxed);
-      out.sweeps += stripe.sweeps.load(std::memory_order_relaxed);
-      out.streams_opened +=
-          stripe.streams_opened.load(std::memory_order_relaxed);
-      out.stream_events +=
-          stripe.stream_events.load(std::memory_order_relaxed);
-      out.stream_reschedules +=
-          stripe.stream_reschedules.load(std::memory_order_relaxed);
-      out.snapshot_delta_updates +=
-          stripe.snapshot_delta_updates.load(std::memory_order_relaxed);
-      out.snapshot_rebuilds +=
-          stripe.snapshot_rebuilds.load(std::memory_order_relaxed);
-      out.requests_processed +=
-          stripe.requests_processed.load(std::memory_order_relaxed);
-      out.cancelled += stripe.cancelled.load(std::memory_order_relaxed);
-      out.deadline_exceeded +=
-          stripe.deadline_exceeded.load(std::memory_order_relaxed);
-      out.cache_hits += stripe.cache_hits.load(std::memory_order_relaxed);
-      out.cache_misses +=
-          stripe.cache_misses.load(std::memory_order_relaxed);
-    }
-    return out;
-  }
-
- private:
-  static constexpr size_t kStripes = 16;
-  std::array<StatsStripe, kStripes> stripes_;
-};
 
 /// Sharded LRU of availability snapshots (core::AvailabilitySnapshot),
 /// keyed on the bit pattern of the (already quantized) availability. Every
@@ -183,14 +120,6 @@ class SnapshotCache {
   std::vector<Shard> shards_;
 };
 
-/// Snaps `w` onto the configured availability grid (no-op for quantum 0).
-/// Applied before the pipeline runs, so cache keys and reports agree.
-double QuantizeAvailability(double w, double quantum) {
-  if (quantum <= 0.0) return w;
-  const double snapped = std::round(w / quantum) * quantum;
-  return snapped < 0.0 ? 0.0 : (snapped > 1.0 ? 1.0 : snapped);
-}
-
 /// Shared state behind every Service handle and its sessions. No single
 /// service mutex: the named-model table is read-mostly behind a shared
 /// mutex, counters are striped atomics, and sessions carry their own lock.
@@ -201,9 +130,8 @@ struct ServiceState {
   /// safe under concurrent jobs without locking.
   core::StratRec stratrec;
 
-  std::atomic<uint64_t> next_id{1};
-  mutable std::shared_mutex models_mutex;  ///< guards `models`
-  std::unordered_map<std::string, core::AvailabilityModel> models;
+  IdSequence ids;
+  AvailabilityModels models;
   StripedStats stats;
 
   /// Availability-keyed snapshot cache (ServiceConfig::cache).
@@ -259,24 +187,8 @@ struct ServiceState {
     return stratrec.aggregator().profiles();
   }
 
-  std::string NextId(const char* prefix) {
-    const uint64_t id = next_id.fetch_add(1, std::memory_order_relaxed);
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%s-%06llu", prefix,
-                  static_cast<unsigned long long>(id));
-    return buffer;
-  }
-
   Result<double> Resolve(const AvailabilitySpec& spec) const {
-    std::shared_lock<std::shared_mutex> lock(models_mutex);
-    double fallback = 0.5;
-    if (config.availability.kind != AvailabilitySpec::Kind::kDefault &&
-        spec.kind == AvailabilitySpec::Kind::kDefault) {
-      auto configured = ResolveAvailability(config.availability, models, 0.5);
-      if (!configured.ok()) return configured.status();
-      fallback = *configured;
-    }
-    return ResolveAvailability(spec, models, fallback);
+    return models.Resolve(spec, config.availability);
   }
 };
 
@@ -309,21 +221,6 @@ struct SessionState {
 
 namespace {
 
-/// Runs one job body, converting an escaping exception (a throwing
-/// user-registered solver, std::bad_alloc mid-pipeline) into a kInternal
-/// ticket outcome. The sync API used to let such exceptions unwind to the
-/// caller; on a pool worker they would instead terminate the process.
-template <typename Fn>
-auto GuardJob(Fn&& body) -> decltype(body()) {
-  try {
-    return body();
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("job threw: ") + e.what());
-  } catch (...) {
-    return Status::Internal("job threw a non-std exception");
-  }
-}
-
 /// The batch pipeline body, run on a pool worker. `state` outlives every
 /// job: workers are joined (and the queue drained) before the rest of
 /// ServiceState is torn down.
@@ -338,7 +235,7 @@ Result<BatchReport> ExecuteBatch(ServiceState* state,
   if (!availability.ok()) return availability.status();
   // The pipeline (and the report) run at the quantized W, so nearby
   // availabilities share one cached snapshot when the knob is on.
-  const double w = internal::QuantizeAvailability(
+  const double w = QuantizeAvailability(
       *availability, state->config.cache.availability_quantum);
 
   core::StratRecOptions options;
@@ -399,7 +296,7 @@ Result<SweepReport> ExecuteSweep(ServiceState* state,
                                  const std::string& id) {
   auto availability = state->Resolve(request.availability);
   if (!availability.ok()) return availability.status();
-  const double w = internal::QuantizeAvailability(
+  const double w = QuantizeAvailability(
       *availability, state->config.cache.availability_quantum);
 
   std::vector<std::string> solvers = request.solvers;
@@ -560,31 +457,9 @@ Result<Service> Service::Create(std::vector<core::Strategy> strategies,
       std::move(config));
 }
 
-namespace {
-
-/// Whether a request's relative deadline_ms budget ran out between
-/// submission and the moment a worker claimed its ticket. 0 = no deadline.
-bool DeadlineExpired(double deadline_ms,
-                     std::chrono::steady_clock::time_point submitted) {
-  if (deadline_ms <= 0.0) return false;
-  const double elapsed_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - submitted)
-                                .count();
-  return elapsed_ms > deadline_ms;
-}
-
-/// The deterministic outcome of an expired ticket (no elapsed time in the
-/// message, so journaled outcomes replay byte-identically).
-Status ExpiredStatus(const std::string& id) {
-  return Status::DeadlineExceeded("ticket " + id +
-                                  " deadline expired before execution");
-}
-
-}  // namespace
-
 Ticket<BatchReport> Service::SubmitBatchAsync(BatchRequest request) const {
   auto shared = std::make_shared<internal::TicketShared<BatchReport>>(
-      request.request_id.empty() ? state_->NextId("batch")
+      request.request_id.empty() ? state_->ids.Next("batch")
                                  : request.request_id);
   internal::ServiceState* state = state_.get();
   const auto submitted = std::chrono::steady_clock::now();
@@ -604,14 +479,14 @@ Ticket<BatchReport> Service::SubmitBatchAsync(BatchRequest request) const {
         // Deadline check after the claim: expired work completes with
         // kDeadlineExceeded instead of executing, and the counter/journal
         // side effects land before Finish wakes the waiter.
-        if (DeadlineExpired(request.deadline_ms, submitted)) {
+        if (internal::DeadlineExpired(request.deadline_ms, submitted)) {
           state->stats.Local().deadline_exceeded.fetch_add(
               1, std::memory_order_relaxed);
           if (state->journal && state->config.journal.record_cancelled) {
-            state->Record(wire::EncodeBatchRecord(shared->id, request,
-                                                  ExpiredStatus(shared->id)));
+            state->Record(wire::EncodeBatchRecord(
+                shared->id, request, internal::ExpiredStatus(shared->id)));
           }
-          shared->Finish(ExpiredStatus(shared->id));
+          shared->Finish(internal::ExpiredStatus(shared->id));
           return;
         }
         auto outcome = internal::GuardJob([&]() {
@@ -629,7 +504,7 @@ Ticket<BatchReport> Service::SubmitBatchAsync(BatchRequest request) const {
 
 Ticket<SweepReport> Service::RunSweepAsync(SweepRequest request) const {
   auto shared = std::make_shared<internal::TicketShared<SweepReport>>(
-      request.request_id.empty() ? state_->NextId("sweep")
+      request.request_id.empty() ? state_->ids.Next("sweep")
                                  : request.request_id);
   internal::ServiceState* state = state_.get();
   const auto submitted = std::chrono::steady_clock::now();
@@ -646,14 +521,14 @@ Ticket<SweepReport> Service::RunSweepAsync(SweepRequest request) const {
           }
           return;
         }
-        if (DeadlineExpired(request.deadline_ms, submitted)) {
+        if (internal::DeadlineExpired(request.deadline_ms, submitted)) {
           state->stats.Local().deadline_exceeded.fetch_add(
               1, std::memory_order_relaxed);
           if (state->journal && state->config.journal.record_cancelled) {
-            state->Record(wire::EncodeSweepRecord(shared->id, request,
-                                                  ExpiredStatus(shared->id)));
+            state->Record(wire::EncodeSweepRecord(
+                shared->id, request, internal::ExpiredStatus(shared->id)));
           }
-          shared->Finish(ExpiredStatus(shared->id));
+          shared->Finish(internal::ExpiredStatus(shared->id));
           return;
         }
         auto outcome = internal::GuardJob([&]() {
@@ -669,7 +544,7 @@ Ticket<SweepReport> Service::RunSweepAsync(SweepRequest request) const {
 
 Ticket<ShardScanReport> Service::ScanShardAsync(ShardScanRequest request) const {
   auto shared = std::make_shared<internal::TicketShared<ShardScanReport>>(
-      request.request_id.empty() ? state_->NextId("scan")
+      request.request_id.empty() ? state_->ids.Next("scan")
                                  : request.request_id);
   internal::ServiceState* state = state_.get();
   state_->executor.Submit(
@@ -727,7 +602,7 @@ Result<StreamSession> Service::OpenStream(const StreamOptions& options) const {
   if (!scheduler.ok()) return scheduler.status();
 
   std::string session_id =
-      options.session_id.empty() ? state_->NextId("stream")
+      options.session_id.empty() ? state_->ids.Next("stream")
                                  : options.session_id;
   // Session-open tap: with the session id pinned into the recorded options
   // and the resolved availability alongside, replay rebuilds this session
@@ -749,15 +624,7 @@ Result<StreamSession> Service::OpenStream(const StreamOptions& options) const {
 
 Status Service::RegisterAvailabilityModel(std::string name,
                                           core::AvailabilityModel model) const {
-  if (name.empty()) {
-    return Status::InvalidArgument("availability model name is empty");
-  }
-  std::unique_lock<std::shared_mutex> lock(state_->models_mutex);
-  if (!state_->models.emplace(std::move(name), std::move(model)).second) {
-    return Status::FailedPrecondition(
-        "availability model name is already registered");
-  }
-  return Status::OK();
+  return state_->models.Register(std::move(name), std::move(model));
 }
 
 const std::vector<core::Strategy>& Service::strategies() const {
@@ -774,10 +641,7 @@ size_t Service::worker_threads() const { return state_->executor.threads(); }
 
 ServiceStats Service::stats() const {
   ServiceStats out = state_->stats.Snapshot();
-  out.queue_depth = state_->executor.QueueDepth();
-  out.active_workers = state_->executor.ActiveWorkers();
-  out.steals = static_cast<size_t>(state_->executor.StealCount());
-  out.local_hits = static_cast<size_t>(state_->executor.LocalHitCount());
+  internal::SampleExecutor(state_->executor, &out);
   out.index_build_nanos = static_cast<size_t>(
       state_->stratrec.aggregator().index_build_nanos());
   out.kernel_dispatch =

@@ -50,7 +50,8 @@ inline constexpr std::string_view kJournalFormatName = "stratrec-journal";
 /// platform simulator (src/sim/) checkpoints service saturation against its
 /// discrete-event clock via Service::RecordStatsSnapshot(sim_time).
 /// v7: stats records carry the fault-tolerance counters
-/// (deadline_exceeded/retries/failovers/hedges_won) and batch/sweep/
+/// (deadline_exceeded/failovers/hedges_won; earlier v7 writers also wrote
+/// an always-zero "retries", which readers ignore) and batch/sweep/
 /// stream-open requests may carry a relative deadline_ms budget. Both are
 /// optional on decode, so v6 traces still replay — the reader accepts
 /// kJournalMinReadVersion..kJournalFormatVersion.

@@ -3,17 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <exception>
 #include <optional>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/api/registry.h"
+#include "src/api/service_internal.h"
 #include "src/common/executor.h"
 #include "src/common/fault.h"
 #include "src/core/adpar.h"
@@ -39,19 +35,10 @@ struct RouterState {
   /// is the shard's report.
   std::vector<std::vector<api::Service>> shards;
 
-  std::atomic<uint64_t> next_id{1};
-  mutable std::shared_mutex models_mutex;  ///< guards `models`
-  std::unordered_map<std::string, core::AvailabilityModel> models;
-
-  std::atomic<uint64_t> batches{0};
-  std::atomic<uint64_t> sweeps{0};
-  std::atomic<uint64_t> requests_processed{0};
-  std::atomic<uint64_t> cancelled{0};
-  std::atomic<uint64_t> rejected_requests{0};
-  std::atomic<uint64_t> retry_after_hints{0};
-  std::atomic<uint64_t> deadline_exceeded{0};
-  std::atomic<uint64_t> failovers{0};
-  std::atomic<uint64_t> hedges_won{0};
+  api::internal::IdSequence ids;
+  api::internal::AvailabilityModels models;
+  /// The router's own counters; stats() adds every shard's on top.
+  api::internal::StripedStats stats;
   /// Scatter sequence number feeding the deterministic replica picks.
   std::atomic<uint64_t> scatter_seq{0};
 
@@ -67,70 +54,15 @@ struct RouterState {
         shards(std::move(shards_in)),
         executor(config.router_threads) {}
 
-  std::string NextId(const char* prefix) {
-    const uint64_t id = next_id.fetch_add(1, std::memory_order_relaxed);
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%s-%06llu", prefix,
-                  static_cast<unsigned long long>(id));
-    return buffer;
-  }
-
-  /// Mirrors ServiceState::Resolve: resolution happens once, on the router.
+  /// Resolution happens once, on the router, exactly as a Service would.
   Result<double> Resolve(const api::AvailabilitySpec& spec) const {
-    std::shared_lock<std::shared_mutex> lock(models_mutex);
-    double fallback = 0.5;
-    if (config.service.availability.kind !=
-            api::AvailabilitySpec::Kind::kDefault &&
-        spec.kind == api::AvailabilitySpec::Kind::kDefault) {
-      auto configured =
-          api::ResolveAvailability(config.service.availability, models, 0.5);
-      if (!configured.ok()) return configured.status();
-      fallback = *configured;
-    }
-    return api::ResolveAvailability(spec, models, fallback);
+    return models.Resolve(spec, config.service.availability);
   }
 };
 
 namespace {
 
-/// Same grid snap the Service applies (service.cc); duplicated because the
-/// router quantizes before scattering, so every shard sees the exact W the
-/// unsharded pipeline would have run at.
-double QuantizeAvailability(double w, double quantum) {
-  if (quantum <= 0.0) return w;
-  const double snapped = std::round(w / quantum) * quantum;
-  return snapped < 0.0 ? 0.0 : (snapped > 1.0 ? 1.0 : snapped);
-}
-
-/// Exception guard of the gather job bodies (same contract as the Service
-/// worker wrapper: a throwing registry solver must not take down the pool).
-template <typename Fn>
-auto GuardJob(Fn&& body) -> decltype(body()) {
-  try {
-    return body();
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("job threw: ") + e.what());
-  } catch (...) {
-    return Status::Internal("job threw a non-std exception");
-  }
-}
-
-/// Whether a request's relative deadline_ms budget ran out between
-/// submission and the moment a worker claimed its ticket (twin of the
-/// Service-side check in service.cc). 0 = no deadline.
-bool DeadlineExpired(double deadline_ms,
-                     std::chrono::steady_clock::time_point submitted) {
-  if (deadline_ms <= 0.0) return false;
-  const double elapsed_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - submitted)
-                                .count();
-  return elapsed_ms > deadline_ms;
-}
-
-Status ExpiredStatus(const std::string& id) {
-  return Status::DeadlineExceeded("ticket " + id +
-                                  " deadline expired before execution");
-}
+using api::internal::QuantizeAvailability;
 
 /// The three algorithms whose solve can run over merged row aggregates.
 /// Registry names beyond these (e.g. "weighted", user registrations) take
@@ -207,7 +139,9 @@ Result<api::ShardScanReport> GatherShard(RouterState* state, size_t s,
                                  ": every replica attempt failed");
   for (size_t attempt = 0; attempt < n; ++attempt) {
     const size_t r = (first_replica + attempt) % n;
-    if (attempt > 0) state->failovers.fetch_add(1, std::memory_order_relaxed);
+    if (attempt > 0) {
+      state->stats.Local().failovers.fetch_add(1, std::memory_order_relaxed);
+    }
     std::optional<ScanTicket> ticket;
     if (attempt == 0) {
       ticket = std::move(primary);
@@ -235,7 +169,8 @@ Result<api::ShardScanReport> GatherShard(RouterState* state, size_t s,
           if (hedge.has_value()) {
             outcome = hedge->WaitFor(Ms(0.5));
             if (outcome.has_value()) {
-              state->hedges_won.fetch_add(1, std::memory_order_relaxed);
+              state->stats.Local().hedges_won.fetch_add(
+                  1, std::memory_order_relaxed);
               break;
             }
           }
@@ -588,8 +523,9 @@ Result<api::BatchReport> ExecuteRoutedBatch(RouterState* state,
   }
   report.result.aggregator.batch = std::move(batch);
 
-  state->batches.fetch_add(1, std::memory_order_relaxed);
-  state->requests_processed.fetch_add(request.requests.size(),
+  api::internal::StatsStripe& stripe = state->stats.Local();
+  stripe.batches.fetch_add(1, std::memory_order_relaxed);
+  stripe.requests_processed.fetch_add(request.requests.size(),
                                       std::memory_order_relaxed);
   return report;
 }
@@ -676,7 +612,7 @@ Result<api::SweepReport> ExecuteRoutedSweep(RouterState* state,
           }
         }
       });
-  state->sweeps.fetch_add(1, std::memory_order_relaxed);
+  state->stats.Local().sweeps.fetch_add(1, std::memory_order_relaxed);
   return report;
 }
 
@@ -744,23 +680,25 @@ Result<ShardRouter> ShardRouter::Create(core::Catalog catalog,
 api::Ticket<api::BatchReport> ShardRouter::SubmitBatchAsync(
     api::BatchRequest request) const {
   auto shared = std::make_shared<api::internal::TicketShared<api::BatchReport>>(
-      request.request_id.empty() ? state_->NextId("batch")
+      request.request_id.empty() ? state_->ids.Next("batch")
                                  : request.request_id);
   internal::RouterState* state = state_.get();
   const auto submitted = std::chrono::steady_clock::now();
   state_->executor.Submit(
       [state, shared, submitted, request = std::move(request)]() mutable {
         if (!shared->BeginRun()) {
-          state->cancelled.fetch_add(1, std::memory_order_relaxed);
+          state->stats.Local().cancelled.fetch_add(1,
+                                                   std::memory_order_relaxed);
           return;
         }
         // Counter before Finish, so stats read after Wait() see it.
-        if (internal::DeadlineExpired(request.deadline_ms, submitted)) {
-          state->deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-          shared->Finish(internal::ExpiredStatus(shared->id));
+        if (api::internal::DeadlineExpired(request.deadline_ms, submitted)) {
+          state->stats.Local().deadline_exceeded.fetch_add(
+              1, std::memory_order_relaxed);
+          shared->Finish(api::internal::ExpiredStatus(shared->id));
           return;
         }
-        auto outcome = internal::GuardJob([&]() {
+        auto outcome = api::internal::GuardJob([&]() {
           return internal::ExecuteRoutedBatch(state, request, shared->id);
         });
         shared->Finish(std::move(outcome));
@@ -771,22 +709,24 @@ api::Ticket<api::BatchReport> ShardRouter::SubmitBatchAsync(
 api::Ticket<api::SweepReport> ShardRouter::RunSweepAsync(
     api::SweepRequest request) const {
   auto shared = std::make_shared<api::internal::TicketShared<api::SweepReport>>(
-      request.request_id.empty() ? state_->NextId("sweep")
+      request.request_id.empty() ? state_->ids.Next("sweep")
                                  : request.request_id);
   internal::RouterState* state = state_.get();
   const auto submitted = std::chrono::steady_clock::now();
   state_->executor.Submit(
       [state, shared, submitted, request = std::move(request)]() mutable {
         if (!shared->BeginRun()) {
-          state->cancelled.fetch_add(1, std::memory_order_relaxed);
+          state->stats.Local().cancelled.fetch_add(1,
+                                                   std::memory_order_relaxed);
           return;
         }
-        if (internal::DeadlineExpired(request.deadline_ms, submitted)) {
-          state->deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-          shared->Finish(internal::ExpiredStatus(shared->id));
+        if (api::internal::DeadlineExpired(request.deadline_ms, submitted)) {
+          state->stats.Local().deadline_exceeded.fetch_add(
+              1, std::memory_order_relaxed);
+          shared->Finish(api::internal::ExpiredStatus(shared->id));
           return;
         }
-        auto outcome = internal::GuardJob([&]() {
+        auto outcome = api::internal::GuardJob([&]() {
           return internal::ExecuteRoutedSweep(state, request, shared->id);
         });
         shared->Finish(std::move(outcome));
@@ -805,15 +745,7 @@ Result<api::SweepReport> ShardRouter::RunSweep(api::SweepRequest request) const 
 
 Status ShardRouter::RegisterAvailabilityModel(
     std::string name, core::AvailabilityModel model) const {
-  if (name.empty()) {
-    return Status::InvalidArgument("availability model name is empty");
-  }
-  std::unique_lock<std::shared_mutex> lock(state_->models_mutex);
-  if (!state_->models.emplace(std::move(name), std::move(model)).second) {
-    return Status::FailedPrecondition(
-        "availability model name is already registered");
-  }
-  return Status::OK();
+  return state_->models.Register(std::move(name), std::move(model));
 }
 
 bool ShardRouter::TryAdmit() const {
@@ -825,12 +757,14 @@ bool ShardRouter::TryAdmit() const {
     }
   }
   if (depth < state_->config.max_queue_depth) return true;
-  state_->rejected_requests.fetch_add(1, std::memory_order_relaxed);
+  state_->stats.Local().rejected_requests.fetch_add(
+      1, std::memory_order_relaxed);
   return false;
 }
 
 void ShardRouter::NoteRetryAfterHint() const {
-  state_->retry_after_hints.fetch_add(1, std::memory_order_relaxed);
+  state_->stats.Local().retry_after_hints.fetch_add(
+      1, std::memory_order_relaxed);
 }
 
 size_t ShardRouter::shards() const { return state_->shards.size(); }
@@ -840,40 +774,13 @@ size_t ShardRouter::replicas() const { return state_->config.replicas; }
 const RouterConfig& ShardRouter::config() const { return state_->config; }
 
 api::ServiceStats ShardRouter::stats() const {
-  api::ServiceStats out;
-  out.batches = state_->batches.load(std::memory_order_relaxed);
-  out.sweeps = state_->sweeps.load(std::memory_order_relaxed);
-  out.requests_processed =
-      state_->requests_processed.load(std::memory_order_relaxed);
-  out.cancelled = state_->cancelled.load(std::memory_order_relaxed);
-  out.rejected_requests =
-      state_->rejected_requests.load(std::memory_order_relaxed);
-  out.retry_after_hints =
-      state_->retry_after_hints.load(std::memory_order_relaxed);
-  out.deadline_exceeded =
-      state_->deadline_exceeded.load(std::memory_order_relaxed);
-  out.failovers = state_->failovers.load(std::memory_order_relaxed);
-  out.hedges_won = state_->hedges_won.load(std::memory_order_relaxed);
-  out.queue_depth = state_->executor.QueueDepth();
-  out.active_workers = state_->executor.ActiveWorkers();
-  out.steals = static_cast<size_t>(state_->executor.StealCount());
-  out.local_hits = static_cast<size_t>(state_->executor.LocalHitCount());
+  api::ServiceStats out = state_->stats.Snapshot();
+  api::internal::SampleExecutor(state_->executor, &out);
+  // Every counter sums over the shards too: a shard only ever runs scans,
+  // so it moves no router-owned counter and nothing is counted twice.
   for (const std::vector<api::Service>& replicas : state_->shards) {
     for (const api::Service& replica : replicas) {
-      const api::ServiceStats s = replica.stats();
-      out.streams_opened += s.streams_opened;
-      out.stream_events += s.stream_events;
-      out.stream_reschedules += s.stream_reschedules;
-      out.snapshot_delta_updates += s.snapshot_delta_updates;
-      out.snapshot_rebuilds += s.snapshot_rebuilds;
-      out.deadline_exceeded += s.deadline_exceeded;
-      out.queue_depth += s.queue_depth;
-      out.active_workers += s.active_workers;
-      out.steals += s.steals;
-      out.local_hits += s.local_hits;
-      out.cache_hits += s.cache_hits;
-      out.cache_misses += s.cache_misses;
-      out.index_build_nanos += s.index_build_nanos;
+      api::internal::AddCounters(replica.stats(), &out);
     }
   }
   // All shards run in-process, so the router reports the process-wide level.

@@ -82,10 +82,11 @@ TEST(AsyncTicket, TryGetEventuallyDelivers) {
   auto service = Service::Create(Table1Catalog(), config);
   ASSERT_TRUE(service.ok());
 
-  auto ticket = service->RunSweepAsync({Table1Requests(),
-                                        {"exact", "brute"},
-                                        AvailabilitySpec::Fixed(0.8),
-                                        /*request_id=*/{}});
+  SweepRequest request;
+  request.targets = Table1Requests();
+  request.solvers = {"exact", "brute"};
+  request.availability = AvailabilitySpec::Fixed(0.8);
+  auto ticket = service->RunSweepAsync(std::move(request));
   std::optional<Result<SweepReport>> outcome;
   while (!(outcome = ticket.TryGet()).has_value()) {
     std::this_thread::yield();

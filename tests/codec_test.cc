@@ -341,7 +341,6 @@ api::ServiceStats RandomServiceStats(Rng& rng) {
   stats.rejected_requests = static_cast<size_t>(rng.UniformInt(0, 100000));
   stats.retry_after_hints = static_cast<size_t>(rng.UniformInt(0, 100000));
   stats.deadline_exceeded = static_cast<size_t>(rng.UniformInt(0, 100000));
-  stats.retries = static_cast<size_t>(rng.UniformInt(0, 100000));
   stats.failovers = static_cast<size_t>(rng.UniformInt(0, 100000));
   stats.hedges_won = static_cast<size_t>(rng.UniformInt(0, 100000));
   stats.kernel_dispatch = rng.Bernoulli(0.5) ? "avx2" : "scalar";
@@ -492,7 +491,6 @@ TEST(Codec, FieldNamesAreStable) {
   stats.rejected_requests = 14;
   stats.retry_after_hints = 15;
   stats.deadline_exceeded = 19;
-  stats.retries = 20;
   stats.failovers = 21;
   stats.hedges_won = 22;
   stats.kernel_dispatch = "avx2";
@@ -505,7 +503,7 @@ TEST(Codec, FieldNamesAreStable) {
             "\"local_hits\":10,\"cache_hits\":11,\"cache_misses\":12,"
             "\"index_build_nanos\":13,\"rejected_requests\":14,"
             "\"retry_after_hints\":15,\"deadline_exceeded\":19,"
-            "\"retries\":20,\"failovers\":21,\"hedges_won\":22,"
+            "\"failovers\":21,\"hedges_won\":22,"
             "\"kernel_dispatch\":\"avx2\"}");
 }
 
@@ -526,7 +524,6 @@ TEST(Codec, V6StatsWithoutFaultCountersStillDecode) {
   EXPECT_EQ(decoded->batches, 1u);
   EXPECT_EQ(decoded->retry_after_hints, 15u);
   EXPECT_EQ(decoded->deadline_exceeded, 0u);
-  EXPECT_EQ(decoded->retries, 0u);
   EXPECT_EQ(decoded->failovers, 0u);
   EXPECT_EQ(decoded->hedges_won, 0u);
 }
@@ -1066,7 +1063,7 @@ TEST(CodecGolden, JournalRecords) {
             R"("cancelled":0,"queue_depth":0,"active_workers":0,"steals":0,)"
             R"("local_hits":0,"cache_hits":11,"cache_misses":0,"index_build)"
             R"(_nanos":0,"rejected_requests":0,"retry_after_hints":0,"deadl)"
-            R"(ine_exceeded":0,"retries":0,"failovers":0,"hedges_won":22,"k)"
+            R"(ine_exceeded":0,"failovers":0,"hedges_won":22,"k)"
             R"(ernel_dispatch":"scalar"}})");
   EXPECT_EQ(EncodeStatsRecord(GoldenStats(), 42.5),
             R"({"kind":"stats","sim_time":42.5,"stats":{"batches":1,"sweeps)"
@@ -1075,7 +1072,7 @@ TEST(CodecGolden, JournalRecords) {
             R"(ts_processed":5,"cancelled":0,"queue_depth":0,"active_worker)"
             R"(s":0,"steals":0,"local_hits":0,"cache_hits":11,"cache_misses)"
             R"(":0,"index_build_nanos":0,"rejected_requests":0,"retry_after)"
-            R"(_hints":0,"deadline_exceeded":0,"retries":0,"failovers":0,"h)"
+            R"(_hints":0,"deadline_exceeded":0,"failovers":0,"h)"
             R"(edges_won":22,"kernel_dispatch":"scalar"}})");
 
   StreamOpenRecord open;

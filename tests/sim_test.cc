@@ -34,6 +34,13 @@ std::string ReadFileBytes(const std::string& path) {
   return out.str();
 }
 
+RunOptions SeedAndPool(uint64_t seed, size_t worker_threads) {
+  RunOptions options;
+  options.seed = seed;
+  options.worker_threads = worker_threads;
+  return options;
+}
+
 // Scenarios scaled down for unit-test budgets: same shapes as the full
 // sweep, a fraction of the horizon and catalog.
 ScenarioConfig SmallScenario(const std::string& name) {
@@ -151,7 +158,7 @@ TEST(Scenarios, ScaleRescalesFaultWindowsWithTheHorizon) {
 // Same (scenario, seed) and pool: repeated runs must agree on the schedule
 // digest, the event count, AND the exact journal bytes.
 TEST(Simulator, RepeatedRunsAreByteIdentical) {
-  for (const std::string& name : {"poisson", "bursty", "brownout"}) {
+  for (const std::string name : {"poisson", "bursty", "brownout"}) {
     const ScenarioConfig scenario = SmallScenario(name);
     RunOptions options;
     options.seed = 7;
@@ -179,7 +186,7 @@ TEST(Simulator, RepeatedRunsAreByteIdentical) {
 // scenarios the journal fingerprint (records minus config/stats lines) is
 // too; and every journal replays byte-identically.
 TEST(Simulator, PoolSizeNeverLeaksIntoTheSchedule) {
-  for (const std::string& name : {"poisson", "churn"}) {
+  for (const std::string name : {"poisson", "churn"}) {
     const ScenarioConfig scenario = SmallScenario(name);
     uint64_t digest = 0;
     uint64_t fingerprint = 0;
@@ -249,28 +256,25 @@ TEST(Simulator, CancelStormKeepsDigestInvariantAndReplaysCleanly) {
 // Scenario behavior: the knobs actually do what they claim.
 TEST(Simulator, ScenarioKnobsShapeTheRun) {
   // Brownout drops batches and stretches latencies inside its window.
-  auto brownout = RunScenario(SmallScenario("brownout"),
-                              {.seed = 3, .worker_threads = 2});
+  auto brownout = RunScenario(SmallScenario("brownout"), SeedAndPool(3, 2));
   ASSERT_TRUE(brownout.ok()) << brownout.status().ToString();
   EXPECT_GT(brownout->dropped_batches, 0u);
   EXPECT_GT(brownout->latency.max, 0.0);
 
   // Diurnal drift moves the availability; the quantum keeps changes finite.
-  auto diurnal = RunScenario(SmallScenario("diurnal"),
-                             {.seed = 3, .worker_threads = 2});
+  auto diurnal = RunScenario(SmallScenario("diurnal"), SeedAndPool(3, 2));
   ASSERT_TRUE(diurnal.ok()) << diurnal.status().ToString();
   EXPECT_GT(diurnal->availability_changes, 0u);
 
   // Churn joins and leaves workers; the stream session sees revocations
   // from the revocation-storm scenario.
-  auto churn = RunScenario(SmallScenario("churn"),
-                           {.seed = 3, .worker_threads = 2});
+  auto churn = RunScenario(SmallScenario("churn"), SeedAndPool(3, 2));
   ASSERT_TRUE(churn.ok()) << churn.status().ToString();
   EXPECT_GT(churn->worker_joins + churn->worker_leaves, 0u);
   EXPECT_GT(churn->stream.arrivals, 0u);
 
-  auto storm = RunScenario(SmallScenario("revocation-storm"),
-                           {.seed = 3, .worker_threads = 2});
+  auto storm =
+      RunScenario(SmallScenario("revocation-storm"), SeedAndPool(3, 2));
   ASSERT_TRUE(storm.ok()) << storm.status().ToString();
   EXPECT_GT(storm->stream.revoked, 0u);
 
