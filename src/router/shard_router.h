@@ -141,11 +141,9 @@ class ShardRouter {
   /// Replicas per shard (RouterConfig::replicas after validation).
   size_t replicas() const;
   const RouterConfig& config() const;
-  /// Router-level counters (batches/sweeps/requests_processed/cancelled,
-  /// the admission pair, and the fault-tolerance counters
-  /// deadline_exceeded/failovers/hedges_won) plus the shard gauges,
-  /// cache/steal counters, and stream/snapshot counters summed across every
-  /// shard replica and the router pool.
+  /// The router's own counters and pool gauges plus every counter and gauge
+  /// of every shard replica, summed. Shards only run scans, so no counter is
+  /// counted twice.
   api::ServiceStats stats() const;
 
  private:

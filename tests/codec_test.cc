@@ -528,6 +528,28 @@ TEST(Codec, V6StatsWithoutFaultCountersStillDecode) {
   EXPECT_EQ(decoded->hedges_won, 0u);
 }
 
+// Earlier v7 writers also wrote a "retries" counter (always 0); readers
+// ignore it, and the counters around it decode as before.
+TEST(Codec, EarlierV7StatsWithRetriesStillDecode) {
+  const std::string earlier_v7 =
+      "{\"batches\":1,\"sweeps\":2,\"streams_opened\":3,"
+      "\"stream_events\":4,\"stream_reschedules\":16,"
+      "\"snapshot_delta_updates\":17,\"snapshot_rebuilds\":18,"
+      "\"requests_processed\":5,\"cancelled\":6,"
+      "\"queue_depth\":7,\"active_workers\":8,\"steals\":9,"
+      "\"local_hits\":10,\"cache_hits\":11,\"cache_misses\":12,"
+      "\"index_build_nanos\":13,\"rejected_requests\":14,"
+      "\"retry_after_hints\":15,\"deadline_exceeded\":19,"
+      "\"retries\":0,\"failovers\":21,\"hedges_won\":22,"
+      "\"kernel_dispatch\":\"avx2\"}";
+  auto decoded = DecodeServiceStats(*json::Parse(earlier_v7));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->deadline_exceeded, 19u);
+  EXPECT_EQ(decoded->failovers, 21u);
+  EXPECT_EQ(decoded->hedges_won, 22u);
+  EXPECT_EQ(json::Dump(Encode(*decoded)).find("retries"), std::string::npos);
+}
+
 // deadline_ms is emitted only when set: a request without a deadline must
 // encode byte-identically to its pre-v7 form, and a set deadline must
 // round-trip on all three envelope kinds.
